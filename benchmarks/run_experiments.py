@@ -650,6 +650,132 @@ def tenants_scaling(backend=None, tenant_counts=(1, 10, 100, 1000)):
     return payload
 
 
+#: the six-query movies mix of ``repro.service.bench.movies_workload``
+SCALE_QUERIES = ("midnight", "drama", "garcia", "thriller", "comedy",
+                 "crimson harbor")
+#: source façade methods whose time the split attributes to the probe
+#: and fetch layers (everything else the generator does is materialize)
+_PROBES = ("lookup", "lookup_in", "lookup_pk")
+_FETCHES = ("fetch", "fetch_many")
+
+
+def _accumulate(db, methods, totals, key):
+    """Shadow *methods* on every relation instance of *db* with timing
+    wrappers adding into ``totals[key]``; returns an undo callable."""
+    shadowed = []
+
+    def timed(method):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return method(*args, **kwargs)
+            finally:
+                totals[key] += time.perf_counter() - start
+
+        return call
+
+    for name in db.relation_names:
+        relation = db.relation(name)
+        for method in methods:
+            setattr(relation, method, timed(getattr(relation, method)))
+            shadowed.append((relation, method))
+
+    def undo():
+        for relation, method in shadowed:
+            delattr(relation, method)
+
+    return undo
+
+
+def scale(backend=None, sizes=(300, 3000, 30000), repeat=5):
+    """Cost per ask and per output tuple as the data grows.
+
+    The six-query movies mix with its narrative, at each movie count ×
+    {memory, sqlite} × {unbounded, ``MaxTuplesPerRelation(10)``}. One
+    database build per size and backend, from the seeded in-repo
+    generator (``generate_movies_database(seed=11)``). ``ms/ask`` is the
+    best of *repeat* warm passes over the mix; the split comes from one
+    more, traced pass: ``probe`` and ``fetch`` are the time inside the
+    source façade's index probes and tuple reads, ``materialize`` the
+    rest of the result database generator (building the answer view),
+    ``translate`` the narrative; each includes whatever cyclic-GC pause
+    lands in it, which is larger on the memory backend, whose source
+    tuples live on the Python heap. Both backends are always measured,
+    so *backend* is ignored."""
+    from repro.core import PrecisEngine, Unlimited
+    from repro.datasets import (
+        generate_movies_database,
+        movies_graph,
+        movies_translation_spec,
+    )
+    from repro.nlg import Translator
+    from repro.obs import InMemorySink, Tracer
+
+    bounds = (("unbounded", Unlimited()), ("c_R=10", MaxTuplesPerRelation(10)))
+    rows = []
+    for size in sizes:
+        for store in ("memory", "sqlite"):
+            db = generate_movies_database(n_movies=size, seed=11, backend=store)
+            engine = PrecisEngine(
+                db,
+                graph=movies_graph(),
+                translator=Translator(movies_translation_spec()),
+            )
+            for label, bound in bounds:
+
+                def mix(**kwargs):
+                    return [
+                        engine.ask(query, cardinality=bound, **kwargs)
+                        for query in SCALE_QUERIES
+                    ]
+
+                tuples = sum(answer.total_tuples() for answer in mix())
+                seconds = _time(mix, repeat=repeat)
+                totals = {"probe": 0.0, "fetch": 0.0}
+                undo = [
+                    _accumulate(db, _PROBES, totals, "probe"),
+                    _accumulate(db, _FETCHES, totals, "fetch"),
+                ]
+                try:
+                    answers = mix(tracer=Tracer([InMemorySink()]))
+                finally:
+                    for step in undo:
+                        step()
+                generator = sum(
+                    a.stats.stage("database_generator").duration_s
+                    for a in answers
+                )
+                translate = sum(
+                    a.stats.stage("translate").duration_s for a in answers
+                )
+                per_ask = 1e3 / len(SCALE_QUERIES)
+                rows.append(
+                    [
+                        size,
+                        store,
+                        label,
+                        seconds * per_ask,
+                        seconds / tuples * 1e6,
+                        tuples / len(SCALE_QUERIES),
+                        totals["probe"] * per_ask,
+                        totals["fetch"] * per_ask,
+                        (generator - totals["probe"] - totals["fetch"])
+                        * per_ask,
+                        translate * per_ask,
+                    ]
+                )
+            db.close()
+    return _table(
+        "Scale — six-query movies mix vs data size, per backend and bound",
+        [
+            "movies", "backend", "bound", "ms/ask", "us/tuple",
+            "tuples/ask", "probe ms", "fetch ms", "materialize ms",
+            "translate ms",
+        ],
+        rows,
+    )
+
+
 def main(argv=None):
     from repro.storage import BACKEND_NAMES
 
@@ -666,6 +792,7 @@ def main(argv=None):
         "frontdoor": frontdoor_bench,
         "tracing": tracing_overhead,
         "tenants": tenants_scaling,
+        "scale": scale,
     }
     default_json = Path(__file__).resolve().parent.parent / "BENCH_precis.json"
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])

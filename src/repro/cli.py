@@ -644,7 +644,7 @@ def _cmd_query(args, out) -> int:
         print("", file=out)
         print(answer.narrative, file=out)
     if args.save:
-        save_database(answer.database, args.save)
+        save_database(answer.database.to_database(), args.save)
         print(f"\nanswer database exported to {args.save}", file=out)
     if sink is not None:
         _print_stats(answer, sink, out, engine)

@@ -1,6 +1,7 @@
 """The précis core: queries, constraints, generators, answers, engine."""
 
 from .answer import PrecisAnswer
+from .answer_view import AnswerRelation, AnswerView
 from .constraints import (
     CardinalityConstraint,
     CompositeCardinality,
@@ -54,6 +55,8 @@ __all__ = [
     "PrecisEngine",
     "PrecisQuery",
     "PrecisAnswer",
+    "AnswerView",
+    "AnswerRelation",
     "ResultSchema",
     "generate_result_schema",
     "SchemaGeneratorStats",

@@ -2,12 +2,17 @@
 
 A :class:`PrecisAnswer` packages everything one query run produced: the
 result schema ``D'`` (a :class:`~repro.core.result_schema.ResultSchema`),
-the result database (a fully formed
-:class:`~repro.relational.database.Database` — the paper's headline
-claim: "queries do not generate individual relations but entire
-multi-relation databases"), the execution report, the per-token match
+the result database, the execution report, the per-token match
 information, the cost delta charged to the source database, and — when a
 translator is configured — the natural-language narrative.
+
+The result database is an :class:`~repro.core.answer_view.AnswerView`:
+a frozen view over the rows the generator read, with the read-only
+``Database`` surface and foreign keys of its own. The paper's headline
+claim — "queries do not generate individual relations but entire
+multi-relation databases" — is one call away:
+``answer.database.to_database()`` builds that database, and CSV export
+and SQL accept the view directly.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from typing import Optional
 from ..obs import QueryStats
 from ..obs.explain import Explanation
 from ..relational.cost import CostSnapshot
-from ..relational.database import Database
 from ..relational.datatypes import render
 from ..text.matching import TokenMatch
+from .answer_view import AnswerView
 from .database_generator import GeneratorReport
 from .query import PrecisQuery
 from .result_schema import ResultSchema
@@ -34,7 +39,7 @@ class PrecisAnswer:
 
     query: PrecisQuery
     result_schema: ResultSchema
-    database: Database
+    database: AnswerView
     report: GeneratorReport
     matches: list[TokenMatch] = field(default_factory=list)
     narrative: Optional[str] = None
@@ -108,8 +113,6 @@ class PrecisAnswer:
 
         APIs and archival. Values render through the engine's text
         rendering (dates ISO, NULL → None)."""
-        from ..relational.datatypes import render
-
         return {
             "query": self.query.text,
             "found": self.found,
@@ -164,10 +167,10 @@ class PrecisAnswer:
 
         that are not part of the result schema are hidden, per §5.2)."""
         visible = self.result_schema.attributes_of(relation)
-        rel = self.database.relation(relation)
         if not visible:
             return []
-        return [row.as_dict() for row in rel.scan(visible)]
+        rows = self.database.relation(relation).value_tuples(visible)
+        return [dict(zip(visible, values)) for values in rows]
 
     def describe(self) -> str:
         """Multi-line human-readable dump of the whole answer."""

@@ -19,16 +19,21 @@ Populates the result schema ``D'`` produced by the schema generator:
    * **RoundRobin** — open one scan of joining tuples per driving tuple
      and take one tuple per scan per round, spreading the budget evenly.
 
-The generated answer is a real :class:`~repro.relational.database.
-Database` whose schema is the projected sub-schema, with foreign keys
+The generated answer is an :class:`~repro.core.answer_view.AnswerView`:
+a frozen view over the rows the walk fetched, per relation their source
+tids and their values projected on the sub-schema, with foreign keys
 declared along the executed join edges — so the dangling-tuple effect of
-NaïveQ is directly observable via ``integrity_violations()``.
+NaïveQ is directly observable via ``integrity_violations()``. Every
+tuple is read from the source exactly once; the driving values of each
+join come from those rows in hand, never from a second scan, and
+:meth:`~repro.core.answer_view.AnswerView.to_database` turns the view
+into the paper's "whole new database" when one is wanted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from ..graph.schema_graph import JoinEdge
 from ..obs import NULL_TRACER, Tracer
@@ -36,6 +41,7 @@ from ..relational.database import Database
 from ..relational.query import RoundRobinScans
 from ..relational.row import Row
 from ..relational.schema import DatabaseSchema, ForeignKey
+from .answer_view import AnswerView
 from .constraints import CardinalityConstraint, Unlimited
 from .deadline import NO_DEADLINE, Deadline
 from .result_schema import ResultSchema
@@ -95,10 +101,6 @@ class GeneratorReport:
     seed_matches: dict[str, int] = field(default_factory=dict)
     #: per seeded relation: cardinality budget in force (None = unbounded)
     seed_budgets: dict[str, Optional[int]] = field(default_factory=dict)
-    #: per relation: source tuple id -> answer tuple id, for every tuple
-    #: that made it into the answer (used by the translator to find the
-    #: seed tuples again)
-    tid_maps: dict[str, dict[int, int]] = field(default_factory=dict)
 
     @property
     def joins_executed(self) -> int:
@@ -111,7 +113,10 @@ class GeneratorReport:
 
 
 def _result_database_schema(
-    source: Database, result_schema: ResultSchema
+    source: Database,
+    result_schema: ResultSchema,
+    edges: tuple[JoinEdge, ...],
+    retrieval: Mapping[str, tuple[str, ...]],
 ) -> DatabaseSchema:
     """Schema of the answer: each relation projected on its retrieval
 
@@ -121,17 +126,17 @@ def _result_database_schema(
     in the original schema — the reverse direction of a foreign key is a
     join worth following but not a constraint (a DIRECTOR row without
     movies is legal; a CAST row without its MOVIE is not)."""
-    relations = []
-    for name in result_schema.relations:
-        attrs = result_schema.retrieval_attributes(name)
-        relations.append(source.relation(name).schema.project(attrs))
+    relations = [
+        source.relation(name).schema.project(retrieval[name])
+        for name in result_schema.relations
+    ]
     source_fks = {
         (fk.source, fk.column, fk.target, fk.target_column)
         for fk in source.schema.foreign_keys
     }
     fks = [
         ForeignKey(e.source, e.source_attribute, e.target, e.target_attribute)
-        for e in result_schema.join_edges()
+        for e in edges
         if (e.source, e.source_attribute, e.target, e.target_attribute)
         in source_fks
     ]
@@ -182,7 +187,7 @@ def _fetch_naive(
     attribute,
     values,
     attrs,
-    exclude: set[int],
+    exclude: Collection[int],
     budget: Optional[int],
     weigher: Optional[TupleWeigher] = None,
     deadline: Deadline = NO_DEADLINE,
@@ -196,7 +201,7 @@ def _fetch_naive(
         tids |= relation.lookup_in(
             attribute, values[start : start + _DEADLINE_CHUNK]
         )
-    matched_existing = tids & exclude
+    matched_existing = tids.intersection(exclude)
     fresh = [tid for tid in sorted(tids) if tid not in exclude]
     if weigher is None or budget is None or len(fresh) <= budget:
         rows, __ = _fetch_bounded(relation, fresh, attrs, budget, deadline)
@@ -213,7 +218,7 @@ def _fetch_round_robin(
     attribute,
     values,
     attrs,
-    exclude: set[int],
+    exclude: Collection[int],
     budget: Optional[int],
     weigher: Optional[TupleWeigher] = None,
     deadline: Deadline = NO_DEADLINE,
@@ -294,7 +299,7 @@ def generate_result_database(
     path_scoped: bool = False,
     tracer: Tracer = NULL_TRACER,
     deadline: Deadline = NO_DEADLINE,
-) -> tuple[Database, GeneratorReport]:
+) -> tuple[AnswerView, GeneratorReport]:
     """Run the Figure 5 algorithm.
 
     Parameters
@@ -344,11 +349,11 @@ def generate_result_database(
 
     Returns
     -------
-    (Database, GeneratorReport)
-        The populated answer ``D'`` (foreign keys declared but *not*
-        enforced — NaïveQ answers may legitimately contain dangling
-        references, which is the paper's argument for RoundRobin) and an
-        execution report.
+    (AnswerView, GeneratorReport)
+        The populated answer ``D'`` as a frozen view over the fetched
+        rows (foreign keys declared but *not* enforced — NaïveQ answers
+        may legitimately contain dangling references, which is the
+        paper's argument for RoundRobin) and an execution report.
     """
     if strategy not in _STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {_STRATEGIES}")
@@ -385,19 +390,25 @@ def _populate(
     join_order: str,
     path_scoped: bool,
     deadline: Deadline,
-) -> tuple[Database, GeneratorReport]:
+) -> tuple[AnswerView, GeneratorReport]:
     """The Figure 5 walk proper (validation and tracing live above)."""
     cardinality = cardinality if cardinality is not None else Unlimited()
 
     report = GeneratorReport()
-    schema = _result_database_schema(source, result_schema)
-    # The answer has its own meter: the paper's cost model (Formula 1)
-    # counts retrievals from the *original* database only, which land on
-    # source.meter; in-memory processing of the answer is free.
-    answer = Database(schema, enforce_foreign_keys=False)
-
+    edges = result_schema.join_edges()
+    retrieval = {
+        name: result_schema.retrieval_attributes(name)
+        for name in result_schema.relations
+    }
+    # The answer in the making: per relation, source tid -> the fetched
+    # values projected on the retrieval attributes, in arrival order.
+    # Rows are kept exactly as the metered source façade returned them
+    # (the paper's cost model, Formula 1, counts retrievals from the
+    # *original* database only), so nothing is fetched or checked twice.
+    deposited: dict[str, dict[int, tuple]] = {
+        name: {} for name in result_schema.relations
+    }
     counts: dict[str, int] = {name: 0 for name in result_schema.relations}
-    present: dict[str, set[int]] = {name: set() for name in result_schema.relations}
 
     # --- path scoping (§5.2's P_d dependence) -----------------------------
     # allowed_preds[edge key] = the arrival tags (previous edge key, or
@@ -422,21 +433,20 @@ def _populate(
         relation: str, rows: list[Row], via, matched_existing: set[int] = frozenset()
     ) -> int:
         added = 0
-        tid_map = report.tid_maps.setdefault(relation, {})
+        kept = deposited[relation]
         tags = arrivals[relation]
         for tid in matched_existing:
             tags.setdefault(tid, set()).add(via)
         for i, row in enumerate(rows):
             if i % 128 == 0 and i and deadline.expired():
-                # cut mid-deposit: the rows already inserted stand, the
+                # cut mid-deposit: the rows already kept stand, the
                 # rest are dropped — same contract as a budget cut
                 report.stopped_by_deadline = True
                 break
             tags.setdefault(row.tid, set()).add(via)
-            if row.tid in present[relation]:
+            if row.tid in kept:
                 continue
-            present[relation].add(row.tid)
-            tid_map[row.tid] = answer.insert(relation, row.as_dict())
+            kept[row.tid] = row.values
             added += 1
         counts[relation] += added
         return added
@@ -451,7 +461,7 @@ def _populate(
         if not tids:
             continue
         budget = cardinality.budget_for(relation, counts)
-        attrs = result_schema.retrieval_attributes(relation)
+        attrs = retrieval[relation]
         tid_list = sorted(tids)
         report.seed_matches[relation] = len(tid_list)
         report.seed_budgets[relation] = budget
@@ -476,7 +486,6 @@ def _populate(
         )
 
     # Step 2: execute the join edges of G'.
-    edges = list(result_schema.join_edges())
     in_degree = result_schema.in_degrees()
     executed: set[tuple] = set()
     # Every origin present in G' counts as populated (possibly empty) so
@@ -516,32 +525,24 @@ def _populate(
         in_degree[edge.target] -= 1
         populated.add(edge.target)
 
-        source_rel = answer.relation(edge.source)
+        # driving values come from the source relation's rows in hand
+        at = retrieval[edge.source].index(edge.source_attribute)
+        kept = deposited[edge.source]
         if path_scoped:
             predecessors = allowed_preds.get(edge.key, set())
-            tid_map = report.tid_maps.get(edge.source, {})
-            driving = set()
-            for src_tid, tags in arrivals[edge.source].items():
-                if tags & predecessors:
-                    value = source_rel.fetch(
-                        tid_map[src_tid], [edge.source_attribute]
-                    )[0]
-                    if value is not None:
-                        driving.add(value)
+            driving = {
+                kept[src_tid][at]
+                for src_tid, tags in arrivals[edge.source].items()
+                if tags & predecessors
+            }
         else:
-            driving = set()
-            for seen, row in enumerate(source_rel.scan([edge.source_attribute])):
-                if seen % (4 * _DEADLINE_CHUNK) == 0 and seen and deadline.expired():
-                    report.stopped_by_deadline = True
-                    break
-                if row[edge.source_attribute] is not None:
-                    driving.add(row[edge.source_attribute])
+            driving = {values[at] for values in kept.values()}
+        driving.discard(None)
         budget = cardinality.budget_for(edge.target, counts)
         if not driving or (budget is not None and budget <= 0):
             report.skipped_edges.append(edge)
             continue
 
-        attrs = result_schema.retrieval_attributes(edge.target)
         target_rel = source.relation(edge.target)
         use_round_robin = strategy == STRATEGY_ROUND_ROBIN or (
             strategy == STRATEGY_AUTO and not _is_to_one(source, edge)
@@ -551,8 +552,8 @@ def _populate(
             target_rel,
             edge.target_attribute,
             sorted(driving),
-            attrs,
-            present[edge.target],
+            retrieval[edge.target],
+            deposited[edge.target],
             budget,
             tuple_weigher,
             deadline,
@@ -575,4 +576,5 @@ def _populate(
 
     remaining = [e for e in edges if e.key not in executed]
     report.skipped_edges.extend(remaining)
-    return answer, report
+    schema = _result_database_schema(source, result_schema, edges, retrieval)
+    return AnswerView(schema, deposited), report

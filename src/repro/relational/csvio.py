@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Union
 
 from ..storage.base import StorageBackend
-from .database import Database
+from .database import Database, as_database
 from .datatypes import DataType, coerce, render
 from .errors import SchemaError
 from .schema import Column, DatabaseSchema, ForeignKey, RelationSchema
@@ -110,7 +110,11 @@ def schema_from_dict(data: dict) -> DatabaseSchema:
 
 
 def save_database(db: Database, directory: Union[str, Path]) -> Path:
-    """Write *db* to *directory* (created if missing); returns the path."""
+    """Write *db* to *directory* (created if missing); returns the path.
+
+    *db* may also be a read-only view with ``to_database()`` (a précis
+    answer), which is materialized first."""
+    db = as_database(db)
     path = Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     manifest = path / _MANIFEST

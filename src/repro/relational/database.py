@@ -27,7 +27,7 @@ from .errors import ForeignKeyViolation, SchemaError
 from .relation import Relation
 from .schema import DatabaseSchema, ForeignKey, RelationSchema
 
-__all__ = ["Database"]
+__all__ = ["Database", "as_database"]
 
 
 class Database:
@@ -329,6 +329,15 @@ class Database:
             create_indexes=create_indexes,
             backend=backend,
         )
+
+
+def as_database(db) -> Database:
+    """*db* itself when it is a :class:`Database`; otherwise the new
+    database a read-only view (such as a précis answer's
+    :class:`~repro.core.answer_view.AnswerView`) builds with
+    ``to_database()``. Lets whole-database tooling — SQL, CSV export —
+    take either."""
+    return db if isinstance(db, Database) else db.to_database()
 
 
 def _topological_load_order(schema: DatabaseSchema) -> list[str]:

@@ -250,6 +250,12 @@ class Relation:
         than issued per tid.
         """
         tid_list = list(tids)
+        name = self.name
+        if attributes is None:
+            names, pos = self.schema.attribute_names, None
+        else:
+            names = tuple(attributes)
+            pos = self.schema.positions(names)
         out: list[Row] = []
         for start in range(0, len(tid_list), _FETCH_CHUNK):
             if limit is not None and len(out) >= limit:
@@ -263,7 +269,9 @@ class Relation:
                 if stored is None:
                     continue
                 self.meter.charge_tuple_read()
-                out.append(self._row(tid, stored, attributes))
+                if pos is not None:
+                    stored = tuple(stored[p] for p in pos)
+                out.append(Row(name, tid, names, stored))
         return out
 
     def scan(

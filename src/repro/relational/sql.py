@@ -31,7 +31,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
-from .database import Database
+from .database import Database, as_database
 from .errors import QueryError, SQLSyntaxError
 
 __all__ = ["parse", "execute", "SelectStatement", "Condition", "AttrRef"]
@@ -337,7 +337,11 @@ class _Binding(dict):
 
 
 def execute(db: Database, statement: SelectStatement | str) -> list[dict[str, Any]]:
-    """Run a SELECT; returns a list of dicts keyed ``alias.attribute``."""
+    """Run a SELECT; returns a list of dicts keyed ``alias.attribute``.
+
+    *db* may also be a read-only view with ``to_database()`` (a précis
+    answer), which is materialized first."""
+    db = as_database(db)
     if isinstance(statement, str):
         statement = parse(statement)
     stmt = statement

@@ -153,17 +153,18 @@ class TestJoinWalk:
             for row in answer.relation(relation).scan():
                 assert tuple(row.values) in src_rows
 
-    def test_tid_maps_point_back_to_source(self, db, schema):
-        answer, report = generate_result_database(
+    def test_source_tids_point_back_to_source(self, db, schema):
+        answer, __ = generate_result_database(
             db, schema, _woody_seeds(db), Unlimited()
         )
-        for relation, tid_map in report.tid_maps.items():
-            for source_tid, answer_tid in tid_map.items():
-                source_row = db.relation(relation).fetch(
-                    source_tid,
-                    answer.relation(relation).schema.attribute_names,
+        for rel in answer:
+            source_tids = rel.source_tids()
+            assert len(source_tids) == len(rel)
+            for answer_tid, source_tid in zip(rel.tids(), source_tids):
+                source_row = db.relation(rel.name).fetch(
+                    source_tid, rel.schema.attribute_names
                 )
-                answer_row = answer.relation(relation).fetch(answer_tid)
+                answer_row = rel.fetch(answer_tid)
                 assert tuple(source_row.values) == tuple(answer_row.values)
 
 

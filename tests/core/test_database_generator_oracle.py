@@ -111,13 +111,13 @@ class TestUnconstrainedEqualsClosure:
         )
         root_tids = list(db.relation("T0").tids())
         seeds = {"T0": set(root_tids[:seed_count])}
-        __, report = generate_result_database(
+        answer, __ = generate_result_database(
             db, result_schema, seeds, Unlimited()
         )
         expected = _closure(db, result_schema, seeds)
-        # compare via the report's tid maps (they key by *source* tids)
+        # compare via the answer's *source* tids
         for relation in result_schema.relations:
-            got = set(report.tid_maps.get(relation, {}))
+            got = set(answer.relation(relation).source_tids())
             assert got == expected[relation], (
                 relation, got, expected[relation],
             )

@@ -131,8 +131,8 @@ class TestGeneratorIntegration:
             tuple_weigher=prefer,
         )
         # four Comedy tuples (tids 3,5,7,8) — the highest-tid one wins
-        tid_map = answer.report.tid_maps["GENRE"]
-        assert set(tid_map) == {8}
+        kept = answer.database.relation("GENRE").source_tids()
+        assert set(kept) == {8}
 
     def test_without_weigher_prefix_is_tid_ordered(self, paper_engine):
         answer = paper_engine.ask(

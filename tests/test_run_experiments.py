@@ -110,3 +110,21 @@ def test_metrics_overhead_payload(capsys):
     assert payload["counters"]["precis_asks_total"] == 20
     assert payload["ask_histogram"]["count"] == 20
     assert payload["note"]
+
+
+def test_scale_payload(capsys):
+    module = _load()
+    payload = module.scale(sizes=(30,), repeat=1)
+    capsys.readouterr()
+    assert payload["columns"][:3] == ["movies", "backend", "bound"]
+    assert [row[1:3] for row in payload["rows"]] == [
+        ["memory", "unbounded"], ["memory", "c_R=10"],
+        ["sqlite", "unbounded"], ["sqlite", "c_R=10"],
+    ]
+    for row in payload["rows"]:
+        ms_per_ask, us_per_tuple, tuples = row[3:6]
+        assert ms_per_ask > 0 and us_per_tuple > 0 and tuples > 0
+        probe, fetch, materialize, translate = row[6:]
+        assert probe > 0 and fetch > 0 and translate > 0
+        # the split is a breakdown of the measured generator time
+        assert probe + fetch + materialize > 0
